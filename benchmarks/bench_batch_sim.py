@@ -12,6 +12,15 @@ Asserts the hard equivalence contract (identical cycles, ActivityCounts
 and watts per design) and a 3x speedup floor at a batch of 64, then
 writes ``BENCH_batchsim.json`` with per-benchmark timings, simulations
 per second, and the speedup ratios.
+
+It also records the block-size curve: scalar vs batch time for blocks of
+1 to 360 configs on a compute-bound and a memory-bound benchmark, and the
+crossover block from which the kernel wins at every larger size — the
+measurement behind ``SCALAR_BLOCK_LIMIT``, the block size below which
+``Simulator.simulate_many`` falls back to the scalar pipeline.
+
+Run with ``REPRO_SCALE=ci PYTHONPATH=src python -m pytest
+benchmarks/bench_batch_sim.py -q -s``.
 """
 
 from __future__ import annotations
@@ -24,11 +33,16 @@ import numpy as np
 
 from repro.designspace import sample_uar, sampling_space
 from repro.simulator import Simulator
+from repro.simulator.simulator import SCALAR_BLOCK_LIMIT
 from repro.workloads import BENCHMARK_NAMES, get_profile
 
 REPEATS = 3
 BATCH = 64
 SPEEDUP_FLOOR = 3.0
+#: Block sizes of the scalar-vs-batch curve: the validation shapes (2-11),
+#: the fallback edge (16), the default campaign's block (360).
+CURVE_BLOCKS = (1, 2, 4, 7, 11, 16, 24, 32, 64, 128, 360)
+CURVE_BENCHMARKS = ("gzip", "mcf")
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_batchsim.json"
 
 
@@ -52,6 +66,31 @@ def _timed(fn, *args):
         if best is None or elapsed < best:
             best = elapsed
     return result, best
+
+
+def _block_curve(simulator, space, trace, points):
+    rows = []
+    for block in CURVE_BLOCKS:
+        subset = points[:block]
+        _, scalar_elapsed = _timed(_scalar_pass, simulator, space, subset, trace)
+        _, batch_elapsed = _timed(_batch_pass, simulator, space, subset, trace)
+        rows.append({
+            "block": block,
+            "scalar_seconds": scalar_elapsed,
+            "batch_seconds": batch_elapsed,
+            "speedup": scalar_elapsed / batch_elapsed,
+        })
+    return rows
+
+
+def _crossover(rows):
+    """Smallest block from which the batch kernel wins at every larger one."""
+    crossover = None
+    for row in reversed(rows):
+        if row["speedup"] < 1.0:
+            break
+        crossover = row["block"]
+    return crossover
 
 
 def test_batch_kernel_throughput(bench_scale):
@@ -105,6 +144,20 @@ def test_batch_kernel_throughput(bench_scale):
 
     record["mean_speedup"] = float(np.mean(ratios))
     record["min_speedup"] = float(np.min(ratios))
+
+    curve_points = sample_uar(space, max(CURVE_BLOCKS), seed=bench_scale.seed + 17)
+    curves = {}
+    for benchmark in CURVE_BENCHMARKS:
+        trace = simulator.trace_for(
+            get_profile(benchmark), bench_scale.trace_length,
+            seed=bench_scale.seed,
+        )
+        curves[benchmark] = _block_curve(simulator, space, trace, curve_points)
+    record["block_curve"] = {
+        "scalar_block_limit": SCALAR_BLOCK_LIMIT,
+        "crossover": {b: _crossover(rows) for b, rows in curves.items()},
+        "benchmarks": curves,
+    }
     RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
     print()
     for benchmark, row in record["benchmarks"].items():
@@ -113,5 +166,14 @@ def test_batch_kernel_throughput(bench_scale):
             f"  batch {row['batch_sims_per_second']:>7,.0f} sims/s"
             f"  speedup {row['speedup']:.1f}x"
         )
+    for benchmark, rows in curves.items():
+        print(
+            f"{benchmark:>6s} block curve (batch speedup): "
+            + "  ".join(f"{r['block']}:{r['speedup']:.2f}x" for r in rows)
+        )
+    print(
+        f"crossover {record['block_curve']['crossover']}, "
+        f"SCALAR_BLOCK_LIMIT {SCALAR_BLOCK_LIMIT}"
+    )
     print(f"wrote {RESULT_PATH.name} (mean speedup {record['mean_speedup']:.1f}x)")
     assert record["mean_speedup"] >= SPEEDUP_FLOOR

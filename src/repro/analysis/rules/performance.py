@@ -5,9 +5,10 @@ surfaced as ``Simulator.simulate_batch``) replays a trace once for a whole
 block of configs, so a per-point ``simulate_point``/``simulate`` loop in
 harness or study code pays the per-instruction python overhead once per
 design instead of once per block — typically a 3-6x slowdown at realistic
-block sizes.  Intentional scalar paths (the serial campaign reference that
-the batch kernel is checked against) are carried in the analysis baseline
-with a reason.
+block sizes.  Small blocks, where the scalar pipeline is cheaper, are
+routed by ``Simulator.simulate_many`` in the simulator package, so
+harness and study code never need a per-point loop; the scalar oracle
+the batch kernel is checked against lives in the tests, which are exempt.
 """
 
 from __future__ import annotations

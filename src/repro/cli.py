@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--batch-size", type=int, default=None,
         help="configs per block of the batched timing kernel "
-        "(default: whole chunk; results are identical for any value)",
+        "(default: one block per benchmark serially, per chunk in parallel; "
+        "results are identical for any value)",
     )
     _add_resilience_arguments(run_parser)
     _add_observability_arguments(run_parser)

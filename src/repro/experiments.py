@@ -577,7 +577,7 @@ def run_x5(ctx: StudyContext) -> ExperimentResult:
             trace = ctx.simulator.trace_for(
                 get_profile(benchmark), scale.trace_length, seed=scale.seed
             )
-            results = ctx.simulator.simulate_batch(
+            results = ctx.simulator.simulate_many(
                 space, points, trace, batch_size=ctx.batch_size
             )
             dataset = Dataset.from_results(benchmark, space, points, results)
@@ -663,7 +663,7 @@ def run_x7(ctx: StudyContext) -> ExperimentResult:
         trace = ctx.simulator.trace_for(
             get_profile(benchmark), scale.trace_length, seed=scale.seed
         )
-        results = ctx.simulator.simulate_batch(
+        results = ctx.simulator.simulate_many(
             space, points, trace, batch_size=ctx.batch_size
         )
         data = {n: matrix[:, j] for j, n in enumerate(encoder.feature_names)}

@@ -251,8 +251,9 @@ def cached_campaign(
 ) -> Campaign:
     """Load the matching cached campaign or run and cache a fresh one.
 
-    ``batch_size`` tunes the batched timing kernel on chunked runs; it
-    never changes results, so it is absent from the cache key.
+    ``batch_size`` caps the batched timing kernel's block on every
+    campaign path; it never changes results, so it is absent from the
+    cache key.
 
     A cached file that fails to load (truncated, stale version, missing
     keys) is quarantined to ``<name>.corrupt`` with a logged reason, then

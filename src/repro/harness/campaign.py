@@ -4,9 +4,11 @@ A campaign samples designs uniformly at random from the Table 1 space,
 simulates every sampled design on every benchmark, and assembles training
 and validation datasets — the inputs to model fitting and Figure 1.
 
-Campaigns are embarrassingly parallel across design points; pass
-``workers > 1`` to spread simulations over processes (each worker rebuilds
-its deterministic trace, so results are bit-identical to a serial run).
+Serially, each benchmark's trace is replayed once through the batched
+timing kernel for all of its train and validation designs.  Campaigns are
+also embarrassingly parallel across design points; pass ``workers > 1``
+to spread simulations over processes (each worker rebuilds its
+deterministic trace, so results are bit-identical to a serial run).
 Parallel runs go through :mod:`repro.harness.resilience`: chunks are
 retried on transient failures, optionally journaled to disk for
 checkpoint/resume, and the run degrades to in-process execution when the
@@ -265,20 +267,21 @@ def run_campaign(
 
     ``workers > 1`` parallelizes over processes (results identical to the
     serial run).  ``progress`` callbacks fire on both paths with the same
-    ``(benchmark, split, done, total)`` stream: per point serially, per
-    completed chunk in parallel.
+    cumulative ``(benchmark, split, done, total)`` stream: once per
+    (benchmark, split) serially, per completed chunk in parallel.
 
     ``resilience`` (or any ``workers > 1`` run, which uses the default
     policy) routes execution through :func:`repro.harness.resilience.run_chunks`:
     transient worker failures retry with backoff, a journal path enables
     checkpoint/resume, and the finished campaign carries a ``run_report``.
 
-    On the chunked path, workers replay each trace once per block of up
-    to ``batch_size`` configs through the batched timing kernel
-    (``None`` batches each chunk whole); results and journal layout are
-    bit-identical for every batch size.  The serial path simulates
-    point-by-point through the scalar kernel and serves as the reference
-    the batch path is checked against.
+    Every path simulates through the batched timing kernel, replaying
+    each trace once per block of up to ``batch_size`` configs (``None``:
+    one block).  The serial path batches each benchmark's train and
+    validation designs together; the chunked path batches each chunk.
+    Results (and the chunked path's journal layout) are bit-identical for
+    every batch size, and to a per-point scalar ``simulate_point`` loop:
+    the oracle the campaign tests check against.
     """
     scale = scale or get_scale()
     space = space or sampling_space()
@@ -319,31 +322,24 @@ def run_campaign(
                 batch_size,
             )
 
+        # One trace replay per benchmark covers both splits: the batch
+        # kernel's fixed cost is paid once per block, not once per design.
         for benchmark in names:
-            profile = get_profile(benchmark)
             trace = simulator.trace_for(
-                profile, scale.trace_length, seed=scale.seed
+                get_profile(benchmark), scale.trace_length, seed=scale.seed
             )
-            for split, split_points in splits:
-                with tracer.span(
-                    "campaign.split",
-                    benchmark=benchmark,
-                    split=split,
-                    points=len(split_points),
-                ):
-                    results = []
-                    for i, point in enumerate(split_points):
-                        results.append(
-                            simulator.simulate_point(space, point, trace)
-                        )
-                        if progress is not None:
-                            progress(
-                                benchmark, split, i + 1, len(split_points)
-                            )
-                dataset = Dataset.from_results(
-                    benchmark, space, split_points, results
+            results = simulator.simulate_batch(
+                space, points, trace, batch_size=batch_size
+            )
+            by_split = (results[: scale.n_train], results[scale.n_train :])
+            for (split, split_points), split_results in zip(splits, by_split):
+                getattr(campaign, split)[benchmark] = Dataset.from_results(
+                    benchmark, space, split_points, split_results
                 )
-                getattr(campaign, split)[benchmark] = dataset
+                if progress is not None:
+                    progress(
+                        benchmark, split, len(split_points), len(split_points)
+                    )
     return campaign
 
 

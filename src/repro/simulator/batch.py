@@ -189,6 +189,22 @@ def _mispredict_stream(
     return trace.derived(("batch", "mispredict", name, entries, warm), build)
 
 
+def _cascade_levels(
+    reuse: np.ndarray, l1_capacity: np.ndarray, l2_capacity: np.ndarray
+) -> np.ndarray:
+    """``[event x config]`` int8 service levels for one reuse stream.
+
+    Filled in place, from the outermost level in: level 2 everywhere,
+    then 1 below the L2 capacity, then 0 below the L1 capacity — the
+    scalar threshold cascade, whichever capacity is larger.
+    """
+    reuse = reuse[:, None]
+    levels = np.full((reuse.shape[0], l1_capacity.size), 2, dtype=np.int8)
+    np.copyto(levels, 1, where=reuse < l2_capacity)
+    np.copyto(levels, 0, where=reuse < l1_capacity)
+    return levels
+
+
 def _stack_levels(
     view: _TraceView, configs: Sequence[MachineConfig]
 ) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
@@ -196,37 +212,28 @@ def _stack_levels(
 
     Broadcasting the shared reuse-distance streams against each config's
     effective capacities replicates the scalar threshold cascade exactly:
-    level 0 below the L1 capacity, 1 below the L2 share, else 2.
+    level 0 below the L1 capacity, 1 below the L2 share, else 2.  Levels
+    come back ``[event x config]``, the layout the timing loop reads.
     """
     models = [StackDistanceMemory(config) for config in configs]
 
     def column(attr: str) -> np.ndarray:
-        return np.array(
-            [getattr(m, attr) for m in models], dtype=np.float64
-        )[:, None]
-    data_reuse = view.mem_reuse[None, :]
-    data_levels = np.where(
-        data_reuse < column("dl1_effective"),
-        np.int8(0),
-        np.where(data_reuse < column("l2_data_effective"), np.int8(1), np.int8(2)),
+        return np.array([getattr(m, attr) for m in models], dtype=np.float64)
+    data_levels = _cascade_levels(
+        view.mem_reuse, column("dl1_effective"), column("l2_data_effective")
     )
-    instr_reuse = view.instr_reuse[None, :]
-    instr_levels = np.where(
-        instr_reuse < column("il1_effective"),
-        np.int8(0),
-        np.where(
-            instr_reuse < column("l2_instr_effective"), np.int8(1), np.int8(2)
-        ),
+    instr_levels = _cascade_levels(
+        view.instr_reuse, column("il1_effective"), column("l2_instr_effective")
     )
     batch = len(configs)
-    dl1_misses = (data_levels > 0).sum(axis=1)
-    il1_misses = (instr_levels > 0).sum(axis=1)
-    data_mem = (data_levels == 2).sum(axis=1)
-    instr_mem = (instr_levels == 2).sum(axis=1)
+    dl1_misses = (data_levels > 0).sum(axis=0)
+    il1_misses = (instr_levels > 0).sum(axis=0)
+    data_mem = (data_levels == 2).sum(axis=0)
+    instr_mem = (instr_levels == 2).sum(axis=0)
     counters = {
-        "dl1_accesses": np.full(batch, data_levels.shape[1], dtype=np.int64),
+        "dl1_accesses": np.full(batch, data_levels.shape[0], dtype=np.int64),
         "dl1_misses": dl1_misses,
-        "il1_accesses": np.full(batch, instr_levels.shape[1], dtype=np.int64),
+        "il1_accesses": np.full(batch, instr_levels.shape[0], dtype=np.int64),
         "il1_misses": il1_misses,
         "l2_accesses": dl1_misses + il1_misses,
         "l2_misses": data_mem + instr_mem,
@@ -295,7 +302,7 @@ def _functional_levels(
     warm: bool,
     cache: Optional[Dict[tuple, tuple]],
 ) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
-    """Per-config level streams + counters under the functional model."""
+    """``[event x config]`` level streams + counters, functional model."""
     geometries = [
         (
             config.il1_kb,
@@ -311,8 +318,8 @@ def _functional_levels(
         geometry: _functional_replay(view, geometry, warm, cache)
         for geometry in dict.fromkeys(geometries)
     }
-    data_levels = np.stack([replays[g][0] for g in geometries])
-    instr_levels = np.stack([replays[g][1] for g in geometries])
+    data_levels = np.stack([replays[g][0] for g in geometries], axis=1)
+    instr_levels = np.stack([replays[g][1] for g in geometries], axis=1)
     counters = {
         key: np.array([replays[g][2][key] for g in geometries], dtype=np.int64)
         for key in replays[geometries[0]][2]
@@ -373,6 +380,83 @@ class _BatchLimiter:
         return time
 
 
+def _int32_column(
+    configs: Sequence[MachineConfig], method: str, level: str
+) -> np.ndarray:
+    """Per-config ``config.<method>(level)`` as int32, refusing overflow."""
+    values = np.array(
+        [getattr(config, method)(level) for config in configs], dtype=np.int64
+    )
+    info = np.iinfo(np.int32)
+    low, high = int(values.min()), int(values.max())
+    if low < info.min or high > info.max:
+        raise ValueError(
+            f"{method}({level!r}) column does not fit int32 "
+            f"(range {low}..{high})"
+        )
+    return values.astype(np.int32)
+
+
+def _level_values(
+    levels: np.ndarray, l1: np.ndarray, l2: np.ndarray, mem: np.ndarray
+) -> np.ndarray:
+    """``[event x config]`` int32 per-level values, filled in place."""
+    out = np.empty(levels.shape, dtype=np.int32)
+    out[...] = mem
+    np.copyto(out, l2, where=levels == 1)
+    np.copyto(out, l1, where=levels == 0)
+    return out
+
+
+def _memory_columns(
+    view: _TraceView,
+    configs: Sequence[MachineConfig],
+    memory_mode: str,
+    warm: bool,
+    functional_cache: Optional[Dict[tuple, tuple]],
+) -> tuple:
+    """The memory side of one block, in the layout the timing loop reads.
+
+    Returns ``(load_lat, load_miss, fetch_pen, prefetch_covered,
+    counters)``: ``[load x config]`` int32 load-to-use latencies and
+    bool memory misses, ``[fetch x config]`` int32 fetch penalties, and
+    per-config prefetch and hierarchy counters.  The per-event service
+    levels are dropped on return, so the timing loop holds only these
+    columns.  The int32 columns are filled in place; they only ever add
+    into int64 pipeline state, so the narrowing never changes a result.
+    """
+    if memory_mode == "stack":
+        data_levels, instr_levels, counters = _stack_levels(view, configs)
+    else:
+        data_levels, instr_levels, counters = _functional_levels(
+            view, configs, warm, functional_cache
+        )
+    lat_l1 = _int32_column(configs, "data_latency", "l1")
+    lat_l2 = _int32_column(configs, "data_latency", "l2")
+    lat_mem = _int32_column(configs, "data_latency", "mem")
+    pen_l2 = _int32_column(configs, "fetch_penalty", "l2")
+    pen_mem = _int32_column(configs, "fetch_penalty", "mem")
+
+    # Next-line prefetch coverage applies by *latency value* (not level),
+    # as the scalar does.
+    load_levels = data_levels[view.mem_is_load]
+    load_lat = _level_values(load_levels, lat_l1, lat_l2, lat_mem)
+    load_miss = load_levels == 2
+    prefetch = np.array([c.prefetch for c in configs], dtype=bool)
+    prefetch_covered = np.zeros(len(configs), dtype=np.int64)
+    if prefetch.any():
+        covered = view.load_sequential[:, None] & prefetch
+        covered &= load_lat != lat_l1
+        np.copyto(load_lat, lat_l1, where=covered)
+        load_miss &= ~covered
+        prefetch_covered = covered.sum(axis=0)
+
+    fetch_pen = _level_values(
+        instr_levels, np.zeros(len(configs), dtype=np.int32), pen_l2, pen_mem
+    )
+    return load_lat, load_miss, fetch_pen, prefetch_covered, counters
+
+
 def run_pipeline_batch(
     trace: Trace,
     configs: Sequence[MachineConfig],
@@ -402,44 +486,9 @@ def run_pipeline_batch(
     batch = len(configs)
 
     # ---- per-block precompute (timing-independent) -----------------------
-    if memory_mode == "stack":
-        data_levels, instr_levels, mem_counters = _stack_levels(view, configs)
-    else:
-        data_levels, instr_levels, mem_counters = _functional_levels(
-            view, configs, warm, _functional_cache
-        )
-
-    def int_column(get) -> np.ndarray:
-        return np.array([get(config) for config in configs], dtype=np.int64)
-    lat_l1 = int_column(lambda c: c.data_latency("l1"))[:, None]
-    lat_l2 = int_column(lambda c: c.data_latency("l2"))[:, None]
-    lat_mem = int_column(lambda c: c.data_latency("mem"))[:, None]
-
-    # Per-load latency / memory-miss columns, with next-line prefetch
-    # coverage applied by *latency value* (not level), as the scalar does.
-    load_levels = data_levels[:, view.mem_is_load]
-    load_lat = np.where(
-        load_levels == 0,
-        lat_l1,
-        np.where(load_levels == 1, lat_l2, lat_mem),
+    load_lat, load_miss, fetch_pen, prefetch_covered, mem_counters = (
+        _memory_columns(view, configs, memory_mode, warm, _functional_cache)
     )
-    load_miss = load_levels == 2
-    prefetch = np.array([c.prefetch for c in configs], dtype=bool)[:, None]
-    covered = prefetch & (load_lat != lat_l1) & view.load_sequential[None, :]
-    if covered.any():
-        load_lat = np.where(covered, np.broadcast_to(lat_l1, load_lat.shape), load_lat)
-        load_miss &= ~covered
-    prefetch_covered = covered.sum(axis=1)
-
-    pen_l2 = int_column(lambda c: c.fetch_penalty("l2"))[:, None]
-    pen_mem = int_column(lambda c: c.fetch_penalty("mem"))[:, None]
-    fetch_pen = np.ascontiguousarray(
-        np.where(
-            instr_levels == 0, 0, np.where(instr_levels == 1, pen_l2, pen_mem)
-        ).T
-    )
-    load_lat = np.ascontiguousarray(load_lat.T)
-    load_miss = np.ascontiguousarray(load_miss.T)
 
     predictor_keys = [(c.predictor, c.predictor_entries) for c in configs]
     uniform_predictor = len(set(predictor_keys)) == 1
@@ -459,6 +508,8 @@ def run_pipeline_batch(
         mispredict_totals = matrix.sum(axis=0).astype(np.int64)
 
     # ---- per-config scalars and resource state ---------------------------
+    def int_column(get) -> np.ndarray:
+        return np.array([get(config) for config in configs], dtype=np.int64)
     frontend = int_column(lambda c: c.frontend_stages)
     lat_int = int_column(lambda c: c.op_latency(OP_INT))
     lat_mul = int_column(lambda c: c.op_latency(OP_INT_MUL))

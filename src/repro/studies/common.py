@@ -107,7 +107,7 @@ class StudyContext:
         #: Optional :class:`repro.harness.ResilienceConfig` applied to the
         #: campaign phase (retries, journaled checkpoint/resume).
         self.resilience = resilience
-        #: Block size for the batched timing kernel (campaign chunks and
+        #: Block size for the batched timing kernel (the campaign and
         #: :meth:`simulate_many`); ``None`` batches each call whole.
         #: Tunes speed/memory only — results are bit-identical throughout.
         self.batch_size = batch_size
@@ -395,12 +395,14 @@ class StudyContext:
     ) -> List[SimulationResult]:
         """Ground-truth simulation of many designs on one benchmark.
 
-        Goes through the batched timing kernel — one trace replay per
-        block of configs instead of one per design — and returns results
-        bit-identical to calling :meth:`simulate` per point.  Validation
-        phases (frontier, per-depth, cluster heterogeneity) use this.
+        Goes through :meth:`Simulator.simulate_many`: the batched timing
+        kernel for blocks large enough to pay for it (one trace replay
+        per block of configs), the scalar pipeline for small ones.
+        Results are bit-identical to calling :meth:`simulate` per point.
+        Validation phases (frontier, per-depth, cluster heterogeneity)
+        use this.
         """
-        return self.simulator.simulate_batch(
+        return self.simulator.simulate_many(
             self.exploration_space,
             list(points),
             self.trace(benchmark),

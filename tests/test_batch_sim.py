@@ -18,6 +18,8 @@ from repro.harness import ResilienceConfig, get_scale, run_campaign
 from repro.harness.resilience import ChunkFailure, Fault, FaultPlan
 from repro.obs.metrics import isolated_registry
 from repro.simulator import Simulator
+from repro.simulator.config import MachineConfig
+from repro.simulator.simulator import SCALAR_BLOCK_LIMIT
 from repro.workloads import BENCHMARK_NAMES, get_profile
 
 SPACE = sampling_space()
@@ -107,6 +109,45 @@ class TestBatchAPI:
             simulator.simulate_batch(SPACE, points, trace),
         )
 
+    @pytest.mark.parametrize("n_points", [1, 15, 16, 17])
+    def test_simulate_many_matches_batch_at_fallback_edge(self, n_points):
+        """Blocks under SCALAR_BLOCK_LIMIT run scalar, the rest batched;
+        either way the results equal the always-kernel simulate_batch."""
+        simulator = Simulator()
+        trace = simulator.trace_for(get_profile("gzip"), 300, seed=4)
+        points = sample_uar(SPACE, n_points, seed=5)
+        with isolated_registry() as registry:
+            many = simulator.simulate_many(SPACE, points, trace)
+            counters = registry.snapshot()["counters"]
+        assert_identical(many, simulator.simulate_batch(SPACE, points, trace))
+        batched = n_points if n_points >= SCALAR_BLOCK_LIMIT else 0
+        assert counters.get("simulator.batch.points", 0) == batched
+        assert counters.get("simulator.simulations", 0) == n_points - batched
+
+    def test_simulate_many_runs_small_tail_scalar(self):
+        simulator = Simulator()
+        trace = simulator.trace_for(get_profile("gzip"), 300, seed=4)
+        points = sample_uar(SPACE, 40, seed=6)
+        with isolated_registry() as registry:
+            many = simulator.simulate_many(SPACE, points, trace, batch_size=16)
+            counters = registry.snapshot()["counters"]
+        assert_identical(many, simulator.simulate_batch(SPACE, points, trace))
+        assert counters["simulator.batch.points"] == 32
+        assert counters["simulator.batch.blocks"] == 2
+        assert counters["simulator.simulations"] == 8
+
+    def test_rejects_latency_outside_int32(self, monkeypatch):
+        """The kernel narrows latency columns to int32 and must refuse a
+        config whose latency would not survive the narrowing."""
+        simulator = Simulator()
+        trace = simulator.trace_for(get_profile("gzip"), 200, seed=0)
+        points = sample_uar(SPACE, 2, seed=0)
+        monkeypatch.setattr(
+            MachineConfig, "memory_latency", property(lambda self: 2**31)
+        )
+        with pytest.raises(ValueError, match="does not fit int32"):
+            simulator.simulate_batch(SPACE, points, trace)
+
     def test_batch_metrics_are_reported(self):
         with isolated_registry() as registry:
             simulator = Simulator()
@@ -161,10 +202,44 @@ class TestTraceCacheLRU:
         assert np.array_equal(first.taken, again.taken)
 
 
+def scalar_oracle(scale, benchmarks, memory_mode="stack"):
+    """Campaign metrics from an explicit per-point ``simulate_point`` loop:
+    the reference every campaign path must reproduce bit for bit."""
+    space = sampling_space()
+    points = sample_uar(space, scale.n_train + scale.n_validation, seed=scale.seed)
+    splits = {
+        "train": points[: scale.n_train],
+        "validation": points[scale.n_train :],
+    }
+    simulator = Simulator(memory_mode=memory_mode)
+    expected = {}
+    for benchmark in benchmarks:
+        trace = simulator.trace_for(
+            get_profile(benchmark), scale.trace_length, seed=scale.seed
+        )
+        for split, split_points in splits.items():
+            results = [
+                simulator.simulate_point(space, point, trace)
+                for point in split_points
+            ]
+            expected[benchmark, split] = {
+                "bips": np.array([r.bips for r in results]),
+                "watts": np.array([float(r.watts) for r in results]),
+            }
+    return expected
+
+
+def assert_matches_oracle(campaign, expected):
+    for (benchmark, split), want in expected.items():
+        got = campaign.dataset(benchmark, split).metrics
+        assert np.array_equal(got["bips"], want["bips"])
+        assert np.array_equal(got["watts"], want["watts"])
+
+
 class TestCampaignBatchPath:
-    """The chunked campaign path runs on the batch kernel; the serial path
-    stays scalar as the reference — so these are campaign-level
-    batch-vs-scalar equivalence checks, with journaling in the loop."""
+    """Every campaign path runs on the batch kernel, so each is checked
+    against the scalar oracle: serial and chunked, both memory modes,
+    several batch sizes, and journaled resume."""
 
     @pytest.fixture(scope="class")
     def tiny_scale(self):
@@ -173,31 +248,50 @@ class TestCampaignBatchPath:
         )
 
     @pytest.fixture(scope="class")
-    def serial_campaign(self, tiny_scale):
-        return run_campaign(Simulator(), scale=tiny_scale, benchmarks=["gzip"])
+    def oracle(self, tiny_scale):
+        return scalar_oracle(tiny_scale, ["gzip"])
 
-    def assert_campaigns_equal(self, got, want):
-        for split in ("train", "validation"):
-            got_metrics = got.dataset("gzip", split).metrics
-            want_metrics = want.dataset("gzip", split).metrics
-            assert np.array_equal(got_metrics["bips"], want_metrics["bips"])
-            assert np.array_equal(got_metrics["watts"], want_metrics["watts"])
+    @pytest.mark.parametrize("memory_mode", ["stack", "functional"])
+    def test_serial_and_chunked_match_scalar_oracle(self, memory_mode):
+        scale = get_scale("ci").with_overrides(
+            name="tiny-oracle", trace_length=300, n_train=9, n_validation=4
+        )
+        benchmarks = ["gzip", "mcf"]
+        expected = scalar_oracle(scale, benchmarks, memory_mode)
+        for resilience in (None, ResilienceConfig()):
+            campaign = run_campaign(
+                Simulator(memory_mode=memory_mode),
+                scale=scale,
+                benchmarks=benchmarks,
+                resilience=resilience,
+            )
+            assert_matches_oracle(campaign, expected)
 
-    def test_chunked_batch_path_matches_scalar_serial(
-        self, tiny_scale, serial_campaign
-    ):
-        for batch_size in (None, 2):
-            chunked = run_campaign(
+    def test_serial_path_is_one_batch_per_benchmark(self, tiny_scale, oracle):
+        with isolated_registry() as registry:
+            campaign = run_campaign(
+                Simulator(), scale=tiny_scale, benchmarks=["gzip"]
+            )
+            counters = registry.snapshot()["counters"]
+        assert_matches_oracle(campaign, oracle)
+        assert counters["simulator.batch.blocks"] == 1
+        assert counters["simulator.batch.points"] == 8
+        assert "simulator.simulations" not in counters
+
+    def test_chunked_batch_path_matches_scalar_serial(self, tiny_scale, oracle):
+        """Blocks smaller than a chunk (or a benchmark) change no result."""
+        for resilience in (None, ResilienceConfig()):
+            campaign = run_campaign(
                 Simulator(),
                 scale=tiny_scale,
                 benchmarks=["gzip"],
-                resilience=ResilienceConfig(),
-                batch_size=batch_size,
+                resilience=resilience,
+                batch_size=2,
             )
-            self.assert_campaigns_equal(chunked, serial_campaign)
+            assert_matches_oracle(campaign, oracle)
 
     def test_resumed_journaled_run_is_bitwise_identical(
-        self, tiny_scale, serial_campaign, tmp_path
+        self, tiny_scale, oracle, tmp_path
     ):
         path = tmp_path / "campaign.journal.jsonl"
         faults = FaultPlan([Fault(chunk=5, kind="permanent")])
@@ -218,4 +312,4 @@ class TestCampaignBatchPath:
             resilience=ResilienceConfig(journal_path=path, resume=True),
         )
         assert resumed.run_report.resumed >= 1
-        self.assert_campaigns_equal(resumed, serial_campaign)
+        assert_matches_oracle(resumed, oracle)

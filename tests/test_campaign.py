@@ -123,7 +123,24 @@ class TestModelFitting:
                     serial_metrics["watts"], parallel_metrics["watts"]
                 )
 
+    @staticmethod
+    def assert_progress_contract(calls, totals):
+        """Cumulative ``(benchmark, split, done, total)`` stream that ends at
+        ``done == total`` for every split."""
+        assert calls, "run_campaign dropped progress callbacks"
+        per_split = {}
+        for benchmark, split, done, total in calls:
+            assert benchmark == "gzip"
+            assert split in totals
+            previous = per_split.get(split, 0)
+            assert done > previous  # cumulative and increasing
+            per_split[split] = done
+            assert total == totals[split]
+        assert per_split == totals
+
     def test_progress_callback(self):
+        """The serial path fires once per (benchmark, split), after the
+        benchmark's single batched replay."""
         scale = get_scale("ci").with_overrides(
             name="tiny", trace_length=500, n_train=5, n_validation=2
         )
@@ -134,8 +151,8 @@ class TestModelFitting:
             benchmarks=["gzip"],
             progress=lambda *args: calls.append(args),
         )
-        assert len(calls) == 7  # 5 train + 2 validation
-        assert calls[0][0] == "gzip"
+        self.assert_progress_contract(calls, {"train": 5, "validation": 2})
+        assert len(calls) == 2
 
     def test_parallel_progress_callback(self):
         """The parallel path fires the same (benchmark, split, done, total)
@@ -151,14 +168,4 @@ class TestModelFitting:
             progress=lambda *args: calls.append(args),
             workers=2,
         )
-        assert calls, "parallel run_campaign dropped progress callbacks"
-        per_split = {}
-        for benchmark, split, done, total in calls:
-            assert benchmark == "gzip"
-            assert split in ("train", "validation")
-            previous = per_split.get(split, 0)
-            assert done > previous  # cumulative and increasing
-            per_split[split] = done
-            assert total == (6 if split == "train" else 3)
-        assert per_split["train"] == 6
-        assert per_split["validation"] == 3
+        self.assert_progress_contract(calls, {"train": 6, "validation": 3})

@@ -484,10 +484,16 @@ class TestResilienceMetrics:
     def test_overhead_within_budget_on_full_space(self, ctx, tmp_path):
         """Acceptance guard: tracing adds <= 10% to a full-space sweep.
 
-        Best-of-3 per mode over the complete 262,500-point exploration
-        space keeps the comparison robust to scheduler noise: the best
-        time is what the machine can do, anything above it is interference.
+        Plain and traced sweeps over the complete 262,500-point exploration
+        space run in interleaved pairs (alternating which goes first), and
+        the guard compares the median of the per-pair traced/plain ratios.
+        Both halves of a pair see the same machine state, so a slow phase
+        of a shared host inflates both and cancels in the ratio; the
+        median then drops the pairs a burst of interference split.  One
+        untimed warm-up of each mode keeps first-use costs out of the
+        pairs.
         """
+        import statistics
         import time as _time
 
         from repro.designspace import exploration_space
@@ -501,26 +507,30 @@ class TestResilienceMetrics:
         source = SpaceSweepSource(exploration_space())
         assert len(source) == 262_500
 
-        def best_of(n, traced):
-            times = []
-            for i in range(n):
-                if traced:
-                    configure_tracing(tmp_path / f"overhead-{i}.jsonl")
-                t0 = _time.perf_counter()
-                run_sweep(
-                    predictor, source, [ParetoFrontierReducer(bins=50)],
-                    block_size=8192,
-                )
-                times.append(_time.perf_counter() - t0)
-                if traced:
-                    disable_tracing()
-            return min(times)
+        def timed_sweep(traced, index):
+            if traced:
+                configure_tracing(tmp_path / f"overhead-{index}.jsonl")
+            t0 = _time.perf_counter()
+            run_sweep(
+                predictor, source, [ParetoFrontierReducer(bins=50)],
+                block_size=8192,
+            )
+            elapsed = _time.perf_counter() - t0
+            if traced:
+                disable_tracing()
+            return elapsed
 
-        plain = best_of(3, traced=False)
-        traced_time = best_of(3, traced=True)
-        assert traced_time <= plain * 1.10, (
-            f"tracing overhead {traced_time / plain - 1:.1%} exceeds 10% "
-            f"(plain {plain:.3f}s, traced {traced_time:.3f}s)"
+        timed_sweep(False, "warm")  # first-use costs land in no pair
+        timed_sweep(True, "warm")
+        ratios = []
+        for pair in range(7):
+            order = (False, True) if pair % 2 == 0 else (True, False)
+            times = {traced: timed_sweep(traced, pair) for traced in order}
+            ratios.append(times[True] / times[False])
+        overhead = statistics.median(ratios)
+        assert overhead <= 1.10, (
+            f"tracing overhead {overhead - 1:.1%} exceeds 10% "
+            f"(per-pair ratios {[round(r, 3) for r in ratios]})"
         )
 
     def test_resilience_run_span_written_when_tracing(self, tmp_path):
