@@ -9,9 +9,9 @@ Times the same block of design points two ways for every benchmark:
   with pipeline state carried as numpy arrays over the config axis.
 
 Asserts the hard equivalence contract (identical cycles, ActivityCounts
-and watts per design) and a 3x speedup floor at a batch of 64, then
-writes ``BENCH_batchsim.json`` with per-benchmark timings, simulations
-per second, and the speedup ratios.
+and watts per design) and a 4x speedup floor on every benchmark at a
+batch of 64, then writes ``BENCH_batchsim.json`` with per-benchmark
+timings, simulations per second, and the speedup ratios.
 
 It also records the block-size curve: scalar vs batch time for blocks of
 1 to 360 configs on a compute-bound and a memory-bound benchmark, and the
@@ -38,12 +38,16 @@ from repro.workloads import BENCHMARK_NAMES, get_profile
 
 REPEATS = 3
 BATCH = 64
-SPEEDUP_FLOOR = 3.0
+SPEEDUP_FLOOR = 4.0
 #: Block sizes of the scalar-vs-batch curve: the validation shapes (2-11),
 #: the fallback edge (16), the default campaign's block (360).
 CURVE_BLOCKS = (1, 2, 4, 7, 11, 16, 24, 32, 64, 128, 360)
 CURVE_BENCHMARKS = ("gzip", "mcf")
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_batchsim.json"
+COMMAND = (
+    "REPRO_SCALE=ci PYTHONPATH=src python -m pytest "
+    "benchmarks/bench_batch_sim.py -q -s"
+)
 
 
 def _scalar_pass(simulator, space, points, trace):
@@ -99,6 +103,7 @@ def test_batch_kernel_throughput(bench_scale):
     points = sample_uar(space, BATCH, seed=bench_scale.seed + 11)
 
     record = {
+        "command": COMMAND,
         "scale": bench_scale.name,
         "trace_length": bench_scale.trace_length,
         "batch": BATCH,
@@ -176,4 +181,4 @@ def test_batch_kernel_throughput(bench_scale):
         f"SCALAR_BLOCK_LIMIT {SCALAR_BLOCK_LIMIT}"
     )
     print(f"wrote {RESULT_PATH.name} (mean speedup {record['mean_speedup']:.1f}x)")
-    assert record["mean_speedup"] >= SPEEDUP_FLOOR
+    assert record["min_speedup"] >= SPEEDUP_FLOOR, record["benchmarks"]

@@ -53,6 +53,7 @@ from .caches import build_hierarchy
 from .config import MachineConfig
 from .memory import FunctionalMemory, StackDistanceMemory
 from .pipeline import PipelineOutcome
+from .resources import ResourceError
 from .results import ActivityCounts
 
 _LEVEL_CODES = {"l1": 0, "l2": 1, "mem": 2}
@@ -327,43 +328,87 @@ def _functional_levels(
     return data_levels, instr_levels, counters
 
 
+def _checked_capacities(capacities: np.ndarray) -> np.ndarray:
+    """The scalar windows' capacity guard, applied to a whole block."""
+    if int(capacities.min()) < 1:
+        raise ResourceError(
+            f"capacity must be >= 1, got {int(capacities.min())}"
+        )
+    return capacities
+
+
 class _BatchWindow:
     """:class:`~repro.simulator.resources.OccupancyWindow` over a block.
 
-    One ring of release times per config, with per-config capacity: the
-    next occupant of config ``b`` cannot acquire before the release
-    recorded ``capacity[b]`` acquisitions earlier.  Acquisition events are
-    shared across the block (the instruction stream is common), so one
-    head-pointer array advances in lockstep — except for masked acquires
-    (:meth:`acquire_where`), where only some configs consume a slot.
+    Every acquire is shared by the whole block (the instruction stream is
+    common), so one ring of ``R = max(capacity)`` rows of release times
+    serves all configs with a single python-int head ``k``: acquire ``k``
+    stores its releases as one contiguous row ``k % R``.  Config ``b``
+    reads the row written ``capacity[b]`` acquires earlier,
+    ``ring[(k - capacity[b]) % R, b]`` — one ``take`` through a
+    precomputed ``[R x B]`` flat-offset table.  The row is intact: it is
+    next overwritten at acquire ``k - capacity[b] + R >= k``, and a row not
+    written yet still holds the initial 0, as in the scalar ring.
     """
 
-    __slots__ = ("_capacity", "_releases", "_head", "_rows")
+    __slots__ = ("_depth", "_rows", "_flat", "_reads", "_k")
 
     def __init__(self, capacities: np.ndarray):
-        self._capacity = capacities
+        capacities = _checked_capacities(capacities)
+        depth = self._depth = int(capacities.max())
+        batch = capacities.size
+        ring = np.zeros((depth, batch), dtype=np.int64)
+        self._rows = list(ring)
+        self._flat = ring.reshape(-1)
+        offsets = (np.arange(depth)[:, None] - capacities) % depth
+        offsets = offsets * batch + np.arange(batch)
+        self._reads = list(offsets.astype(np.intp))
+        self._k = 0
+
+    def next_free(self) -> np.ndarray:
+        return self._flat.take(self._reads[self._k])
+
+    def acquire_row(self) -> np.ndarray:
+        """Acquire the next slot; return the ring row its releases go in.
+
+        Lets a caller compute the releases straight into the ring
+        (``np.add(..., out=window.acquire_row())``) without a temporary.
+        """
+        k = self._k
+        self._k = k + 1 if k + 1 < self._depth else 0
+        return self._rows[k]
+
+    def acquire(self, release_time: np.ndarray) -> None:
+        self.acquire_row()[...] = release_time
+
+
+class _MaskedWindow:
+    """A block window whose acquires may skip configs (the MSHRs).
+
+    Only the configs in ``mask`` consume a slot in :meth:`acquire_where`,
+    so the heads diverge and each config keeps its own.
+    """
+
+    __slots__ = ("_capacity", "_releases", "_head", "_configs")
+
+    def __init__(self, capacities: np.ndarray):
+        self._capacity = _checked_capacities(capacities)
         self._releases = np.zeros(
             (capacities.size, int(capacities.max())), dtype=np.int64
         )
         self._head = np.zeros(capacities.size, dtype=np.int64)
-        self._rows = np.arange(capacities.size)
+        self._configs = np.arange(capacities.size)
 
     def next_free(self) -> np.ndarray:
-        return self._releases[self._rows, self._head]
-
-    def acquire(self, release_time: np.ndarray) -> None:
-        head = self._head
-        self._releases[self._rows, head] = release_time
-        np.add(head, 1, out=head)
-        np.remainder(head, self._capacity, out=head)
+        return self._releases[self._configs, self._head]
 
     def acquire_where(self, mask: np.ndarray, release_time: np.ndarray) -> None:
-        rows = self._rows[mask]
-        head = self._head[rows]
-        self._releases[rows, head] = release_time[mask]
+        configs = self._configs[mask]
+        head = self._head[configs]
+        self._releases[configs, head] = release_time[mask]
         head += 1
-        np.remainder(head, self._capacity[rows], out=head)
-        self._head[rows] = head
+        np.remainder(head, self._capacity[configs], out=head)
+        self._head[configs] = head
 
 
 class _BatchLimiter:
@@ -375,8 +420,10 @@ class _BatchLimiter:
         self._window = _BatchWindow(rates)
 
     def next_slot(self, earliest: np.ndarray) -> np.ndarray:
-        time = np.maximum(earliest, self._window.next_free())
-        self._window.acquire(time + 1)
+        window = self._window
+        time = window.next_free()
+        np.maximum(earliest, time, out=time)
+        np.add(time, 1, out=window.acquire_row())
         return time
 
 
@@ -537,7 +584,7 @@ def run_pipeline_batch(
     fpu = _BatchWindow(units.copy())
     lsu = _BatchWindow(units.copy())
     bru = _BatchWindow(units.copy())
-    mshrs = _BatchWindow(int_column(lambda c: c.mshr_count))
+    mshrs = _MaskedWindow(int_column(lambda c: c.mshr_count))
 
     ops = view.ops
     src1 = view.src1
@@ -552,9 +599,12 @@ def run_pipeline_batch(
     last_retire = np.zeros(batch, dtype=np.int64)
     maximum = np.maximum
 
-    load_index = 0
-    fetch_index = 0
-    branch_index = 0
+    # Per-event rows as python-level iterators/lists: cheaper per
+    # instruction than 2-D row indexing with a running counter.
+    load_rows = zip(load_lat, load_miss, load_miss.any(axis=1).tolist())
+    fetch_rows = iter(fetch_pen)
+    mispredict_rows = iter(mispredict_rows)
+    completion_rows = list(completion)
 
     # ---- the timing loop: one pass, O(B) vector work per instruction -----
     for i in range(n):
@@ -562,22 +612,19 @@ def run_pipeline_batch(
 
         # fetch
         if fetch_flags[i]:
-            fetch_available = fetch_available + fetch_pen[fetch_index]
-            fetch_index += 1
+            fetch_available = fetch_available + next(fetch_rows)
         fetch_time = fetch_limiter.next_slot(fetch_available)
 
         # dispatch
         disp = fetch_time + frontend
         maximum(disp, last_dispatch, out=disp)
         maximum(disp, rob.next_free(), out=disp)
-        miss = None
+        any_miss = False
         if op == OP_INT:
             rs_window, fu, reg, latency = fx_rs, fxu, gpr, lat_int
         elif op == OP_LOAD:
             rs_window, fu, reg = load_queue, lsu, gpr
-            latency = load_lat[load_index]
-            miss = load_miss[load_index]
-            load_index += 1
+            latency, miss, any_miss = next(load_rows)
         elif op == OP_BRANCH:
             rs_window, fu, reg, latency = br_rs, bru, None, lat_branch
         elif op == OP_STORE:
@@ -599,39 +646,38 @@ def run_pipeline_batch(
         ready = disp + 1
         distance = src1[i]
         if distance:
-            maximum(ready, completion[(i - distance) % ring], out=ready)
+            maximum(ready, completion_rows[(i - distance) % ring], out=ready)
         distance = src2[i]
         if distance:
-            maximum(ready, completion[(i - distance) % ring], out=ready)
+            maximum(ready, completion_rows[(i - distance) % ring], out=ready)
         if any_in_order:
-            ready = np.where(in_order, maximum(ready, last_issue), ready)
-        issue = maximum(ready, fu.next_free())
-        if miss is not None and miss.any():
-            issue = np.where(miss, maximum(issue, mshrs.next_free()), issue)
-            comp = issue + latency
+            maximum(ready, last_issue, out=ready, where=in_order)
+        issue = fu.next_free()
+        maximum(issue, ready, out=issue)
+        if any_miss:
+            maximum(issue, mshrs.next_free(), out=issue, where=miss)
+        # Written straight into the completion ring; the row is next
+        # reused ``ring`` instructions later, long after its last read.
+        comp = completion_rows[i % ring]
+        np.add(issue, latency, out=comp)
+        if any_miss:
             mshrs.acquire_where(miss, comp)
-        else:
-            comp = issue + latency
         if op == OP_FP_DIV or op == OP_INT_MUL:
             fu.acquire(comp)
         else:
-            fu.acquire(issue + 1)
+            np.add(issue, 1, out=fu.acquire_row())
         last_issue = issue
-        completion[i % ring] = comp
 
         if op == OP_BRANCH:
+            mispredicted = next(mispredict_rows)
             if uniform_predictor:
-                if mispredict_rows[branch_index]:
+                if mispredicted:
                     maximum(fetch_available, comp + 1, out=fetch_available)
-            else:
-                mispredicted = mispredict_rows[branch_index]
-                if mispredicted.any():
-                    fetch_available = np.where(
-                        mispredicted,
-                        maximum(fetch_available, comp + 1),
-                        fetch_available,
-                    )
-            branch_index += 1
+            elif mispredicted.any():
+                maximum(
+                    fetch_available, comp + 1, out=fetch_available,
+                    where=mispredicted,
+                )
 
         # retire
         retire = comp + 1
@@ -647,9 +693,9 @@ def run_pipeline_batch(
             rs_window.acquire(comp)
         elif op == OP_STORE:
             rs_window.acquire(comp)
-            store_q.acquire(retire + dl1_latency)
+            np.add(retire, dl1_latency, out=store_q.acquire_row())
         else:
-            rs_window.acquire(issue + 1)
+            np.add(issue, 1, out=rs_window.acquire_row())
 
     # ---- assemble per-config outcomes ------------------------------------
     base = view.base_counts

@@ -19,7 +19,13 @@ from repro.harness.resilience import ChunkFailure, Fault, FaultPlan
 from repro.obs.metrics import isolated_registry
 from repro.simulator import Simulator
 from repro.simulator.config import MachineConfig
-from repro.simulator.simulator import SCALAR_BLOCK_LIMIT
+from repro.simulator.batch import _BatchLimiter, _BatchWindow, _MaskedWindow
+from repro.simulator.resources import (
+    OccupancyWindow,
+    ResourceError,
+    ThroughputLimiter,
+)
+from repro.simulator.simulator import BLOCK_SIZE_BUCKETS, SCALAR_BLOCK_LIMIT
 from repro.workloads import BENCHMARK_NAMES, get_profile
 
 SPACE = sampling_space()
@@ -63,6 +69,98 @@ class TestEquivalenceProperty:
             for point in points
         ]
         assert_identical(batch, scalar)
+
+
+def capacity_vectors():
+    """Random per-config capacities, plus the edge shapes named outright:
+    every capacity 1, every capacity equal, and a lone capacity at R."""
+    random = st.lists(
+        st.integers(min_value=1, max_value=12), min_size=1, max_size=8
+    )
+    equal = st.tuples(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=8),
+    ).map(lambda pair: [pair[0]] * pair[1])
+    lone_max = st.lists(
+        st.integers(min_value=1, max_value=3), min_size=1, max_size=7
+    ).map(lambda caps: caps + [12])
+    return st.one_of(random, equal, lone_max, st.just([1]), st.just([1, 1, 1]))
+
+
+def release_times(draw, batch):
+    return np.array(
+        draw(st.lists(
+            st.integers(min_value=0, max_value=10**6),
+            min_size=batch, max_size=batch,
+        )),
+        dtype=np.int64,
+    )
+
+
+class TestBatchWindows:
+    """Each block window against one scalar window per config, exactly,
+    at every step of at least 3R acquisitions (R = max capacity)."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(capacities=capacity_vectors(), data=st.data())
+    def test_window_matches_scalar_windows(self, capacities, data):
+        window = _BatchWindow(np.array(capacities, dtype=np.int64))
+        scalars = [OccupancyWindow(c) for c in capacities]
+        for _ in range(3 * max(capacities) + 2):
+            assert window.next_free().tolist() == [
+                s.next_free() for s in scalars
+            ]
+            release = release_times(data.draw, len(capacities))
+            window.acquire(release)
+            for scalar, value in zip(scalars, release.tolist()):
+                scalar.acquire(value)
+
+    @settings(deadline=None, max_examples=60)
+    @given(capacities=capacity_vectors(), data=st.data())
+    def test_limiter_matches_scalar_limiters(self, capacities, data):
+        limiter = _BatchLimiter(np.array(capacities, dtype=np.int64))
+        scalars = [ThroughputLimiter(c) for c in capacities]
+        for _ in range(3 * max(capacities) + 2):
+            earliest = release_times(data.draw, len(capacities)) % 50
+            got = limiter.next_slot(earliest).tolist()
+            assert got == [
+                s.next_slot(e) for s, e in zip(scalars, earliest.tolist())
+            ]
+
+    @settings(deadline=None, max_examples=60)
+    @given(capacities=capacity_vectors(), data=st.data())
+    def test_masked_window_matches_scalar_windows(self, capacities, data):
+        window = _MaskedWindow(np.array(capacities, dtype=np.int64))
+        scalars = [OccupancyWindow(c) for c in capacities]
+        batch = len(capacities)
+        for _ in range(3 * max(capacities) + 2):
+            assert window.next_free().tolist() == [
+                s.next_free() for s in scalars
+            ]
+            mask = np.array(
+                data.draw(st.lists(
+                    st.booleans(), min_size=batch, max_size=batch
+                )),
+                dtype=bool,
+            )
+            release = release_times(data.draw, batch)
+            window.acquire_where(mask, release)
+            for scalar, take, value in zip(
+                scalars, mask.tolist(), release.tolist()
+            ):
+                if take:
+                    scalar.acquire(value)
+
+    @pytest.mark.parametrize(
+        "cls", [_BatchWindow, _MaskedWindow, _BatchLimiter]
+    )
+    @pytest.mark.parametrize("capacities", [[0], [4, 0, 2], [3, -1]])
+    def test_rejects_capacity_below_one(self, cls, capacities):
+        """The scalar windows' ResourceError, for any config in a block."""
+        with pytest.raises(ResourceError, match="must be >= 1"):
+            cls(np.array(capacities, dtype=np.int64))
+        with pytest.raises(ResourceError):
+            OccupancyWindow(min(capacities))
 
 
 class TestBatchAPI:
@@ -154,10 +252,18 @@ class TestBatchAPI:
             trace = simulator.trace_for(get_profile("gzip"), 300, seed=6)
             points = sample_uar(SPACE, 5, seed=7)
             simulator.simulate_batch(SPACE, points, trace, batch_size=2)
-            counters = registry.snapshot()["counters"]
+            snapshot = registry.snapshot()
+            counters = snapshot["counters"]
             assert counters["simulator.batch.points"] == 5
             assert counters["simulator.batch.blocks"] == 3
             assert counters["simulator.instructions"] == 5 * len(trace)
+            # Two full blocks of 2 and a tail of 1, one observation each.
+            sizes = snapshot["histograms"]["simulator.batch.block_size"]
+            assert sizes["buckets"] == list(BLOCK_SIZE_BUCKETS)
+            assert sizes["count"] == 3
+            assert sizes["sum"] == 5
+            assert sizes["counts"][:2] == [1, 2]
+            assert sum(sizes["counts"]) == 3
 
 
 class TestTraceCacheLRU:
