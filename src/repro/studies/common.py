@@ -19,7 +19,7 @@ all predictions, points, or design matrices at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from ..harness.sweep import (
     run_sweep,
 )
 from ..metrics import bips3_per_watt, delay_seconds
+from ..obs.metrics import get_registry
 from ..regression import FittedModel
 from ..simulator import Simulator, baseline_point
 from ..simulator.results import SimulationResult
@@ -86,7 +87,17 @@ class PredictionTable:
 
 
 class StudyContext:
-    """One campaign + one model fit, shared by all studies."""
+    """One campaign + one model fit, shared by all studies.
+
+    The context also owns the ground-truth results: :meth:`simulate` and
+    :meth:`simulate_many` memoize each :class:`SimulationResult` keyed by
+    ``(benchmark, DesignPoint)``.  The simulator, scale and traces are
+    fixed for the context's lifetime, so that key identifies a result
+    exactly, and a design validated by several studies is simulated
+    once.  Memoized results are shared objects: callers must treat them
+    as read-only (``PowerModel.evaluate`` fills in watts before a result
+    reaches the memo).
+    """
 
     def __init__(
         self,
@@ -118,6 +129,7 @@ class StudyContext:
         self._stratified_points: Dict[str, List[DesignPoint]] = {}
         self._prediction_tables: Dict[tuple, PredictionTable] = {}
         self._traces: Dict[str, Trace] = {}
+        self._results: Dict[Tuple[str, DesignPoint], SimulationResult] = {}
         self._sources: Dict[tuple, SweepSource] = {}
         self._sweep_results: Dict[tuple, object] = {}
 
@@ -385,26 +397,50 @@ class StudyContext:
         return self._traces[benchmark]
 
     def simulate(self, benchmark: str, point: DesignPoint) -> SimulationResult:
-        """Ground-truth simulation of one design on one benchmark."""
-        return self.simulator.simulate_point(
-            self.exploration_space, point, self.trace(benchmark)
-        )
+        """Memoized ground-truth simulation of one design on one benchmark."""
+        return self._simulate_memoized(benchmark, [point])[0]
 
     def simulate_many(
         self, benchmark: str, points: Sequence[DesignPoint]
     ) -> List[SimulationResult]:
-        """Ground-truth simulation of many designs on one benchmark.
+        """Memoized ground-truth simulation of many designs on one benchmark.
 
-        Goes through :meth:`Simulator.simulate_many`: the batched timing
-        kernel for blocks large enough to pay for it (one trace replay
-        per block of configs), the scalar pipeline for small ones.
-        Results are bit-identical to calling :meth:`simulate` per point.
+        Results come back in request order, duplicates included; only
+        designs the context has not simulated yet reach the simulator.
         Validation phases (frontier, per-depth, cluster heterogeneity)
         use this.
         """
-        return self.simulator.simulate_many(
-            self.exploration_space,
-            list(points),
-            self.trace(benchmark),
-            batch_size=self.batch_size,
-        )
+        return self._simulate_memoized(benchmark, points)
+
+    def _simulate_memoized(
+        self, benchmark: str, points: Sequence[DesignPoint]
+    ) -> List[SimulationResult]:
+        """Serve ``points`` from the result memo, simulating the misses.
+
+        The distinct misses go to :meth:`Simulator.simulate_many` in one
+        call: the batched timing kernel for blocks large enough to pay
+        for it, the scalar pipeline for small ones.  Results are
+        bit-identical to a per-point :meth:`Simulator.simulate_point`
+        loop.  The public methods share this helper rather than calling
+        each other, so a wrapper around either sees each request once.
+        """
+        points = list(points)
+        misses = list(dict.fromkeys(
+            point for point in points
+            if (benchmark, point) not in self._results
+        ))
+        registry = get_registry()
+        registry.increment("studies.simulate.hits", len(points) - len(misses))
+        registry.increment("studies.simulate.misses", len(misses))
+        if misses:
+            results = self.simulator.simulate_many(
+                self.exploration_space,
+                misses,
+                self.trace(benchmark),
+                batch_size=self.batch_size,
+            )
+            self._results.update(
+                ((benchmark, point), result)
+                for point, result in zip(misses, results)
+            )
+        return [self._results[(benchmark, point)] for point in points]

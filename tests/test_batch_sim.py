@@ -207,7 +207,10 @@ class TestBatchAPI:
             simulator.simulate_batch(SPACE, points, trace),
         )
 
-    @pytest.mark.parametrize("n_points", [1, 15, 16, 17])
+    @pytest.mark.parametrize(
+        "n_points",
+        [1, SCALAR_BLOCK_LIMIT - 1, SCALAR_BLOCK_LIMIT, SCALAR_BLOCK_LIMIT + 1],
+    )
     def test_simulate_many_matches_batch_at_fallback_edge(self, n_points):
         """Blocks under SCALAR_BLOCK_LIMIT run scalar, the rest batched;
         either way the results equal the always-kernel simulate_batch."""
