@@ -9,9 +9,12 @@ Times the same exhaustive characterization two ways for every benchmark:
   streaming :class:`ParetoFrontierReducer` and :class:`TopKReducer`.
 
 Asserts the two paths agree exactly (same frontier indices, same argmax
-design) and that the engine clears a 3x throughput floor, then writes
-``BENCH_sweep.json`` with points/sec, the speedup ratio, and peak
-allocation footprints (tracemalloc, measured in separate untimed passes).
+design) and that the engine clears a 3x throughput floor.  It also times
+the engine over the whole 262,500-point exploration space per benchmark
+(mixed-radix source, so every block takes the level-table gather path).
+Writes ``BENCH_sweep.json`` with points/sec, the speedup ratio, the
+full-space throughput, peak allocation footprints (tracemalloc, measured
+in separate untimed passes) and the command that produced it.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ from repro.harness.sweep import (
 REPEATS = 3
 SPEEDUP_FLOOR = 3.0
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
+COMMAND = (
+    "REPRO_SCALE=ci PYTHONPATH=src python -m pytest "
+    "benchmarks/bench_sweep_engine.py -q -s"
+)
 
 
 def _per_point_pass(ctx, benchmark, points):
@@ -67,6 +74,16 @@ def _blockwise_pass(ctx, benchmark, points):
     return front.indices, int(best.indices[0])
 
 
+def _full_space_pass(ctx, benchmark):
+    """The engine over the whole exploration space, never materialized."""
+    report = run_sweep(
+        ctx.predictor(benchmark),
+        SpaceSweepSource(ctx.exploration_space),
+        [ParetoFrontierReducer(bins=50), TopKReducer(metric="efficiency", k=1)],
+    )
+    return report.n_points
+
+
 def _timed(fn, *args):
     best = None
     result = None
@@ -96,8 +113,10 @@ def test_sweep_engine_throughput(ctx, bench_scale):
     assert n > 0
 
     record = {
+        "command": COMMAND,
         "scale": bench_scale.name,
         "n_points": n,
+        "full_space_points": len(ctx.exploration_space),
         "repeats": REPEATS,
         "speedup_floor": SPEEDUP_FLOOR,
         "benchmarks": {},
@@ -115,6 +134,9 @@ def test_sweep_engine_throughput(ctx, bench_scale):
         assert np.array_equal(np.sort(old_frontier), np.sort(new_frontier))
         assert old_best == new_best
 
+        full_points, full_elapsed = _timed(_full_space_pass, ctx, benchmark)
+        assert full_points == record["full_space_points"]
+
         old_pps = n / old_elapsed if old_elapsed > 0 else float("inf")
         new_pps = n / new_elapsed if new_elapsed > 0 else float("inf")
         ratio = new_pps / old_pps if old_pps > 0 else float("inf")
@@ -125,6 +147,8 @@ def test_sweep_engine_throughput(ctx, bench_scale):
             "per_point_points_per_second": old_pps,
             "blockwise_points_per_second": new_pps,
             "speedup": ratio,
+            "full_space_seconds": full_elapsed,
+            "full_space_points_per_second": full_points / full_elapsed,
             "per_point_peak_bytes": _peak_bytes(
                 _per_point_pass, ctx, benchmark, points
             ),
@@ -135,6 +159,14 @@ def test_sweep_engine_throughput(ctx, bench_scale):
 
     record["mean_speedup"] = float(np.mean(ratios))
     record["min_speedup"] = float(np.min(ratios))
+    record["full_space_points_per_second_mean"] = float(
+        np.mean(
+            [
+                row["full_space_points_per_second"]
+                for row in record["benchmarks"].values()
+            ]
+        )
+    )
     RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
     print()
     for benchmark, row in record["benchmarks"].items():
@@ -142,6 +174,7 @@ def test_sweep_engine_throughput(ctx, bench_scale):
             f"{benchmark:>6s}: per-point {row['per_point_points_per_second']:>10,.0f} pts/s"
             f"  blockwise {row['blockwise_points_per_second']:>10,.0f} pts/s"
             f"  speedup {row['speedup']:.1f}x"
+            f"  full space {row['full_space_points_per_second']:>10,.0f} pts/s"
         )
     print(f"wrote {RESULT_PATH.name} (mean speedup {record['mean_speedup']:.1f}x)")
     assert record["mean_speedup"] >= SPEEDUP_FLOOR

@@ -201,9 +201,10 @@ class SweepSource:
     def level_block(self, start: int, stop: int) -> Optional[np.ndarray]:
         """Per-parameter grid level indices over [start, stop), or None.
 
-        An ``(n, P)`` integer matrix enables the predictor's level-table
-        gather fast path; sources that cannot provide it return None and
-        blocks fall back to :meth:`feature_block` evaluation.
+        A parameter-major ``(P, n)`` integer matrix (one contiguous row of
+        levels per parameter) enables the predictor's level-table gather
+        fast path; sources that cannot provide it return None and blocks
+        fall back to :meth:`feature_block` evaluation.
         """
         return None
 
@@ -291,12 +292,10 @@ class SpaceSweepSource(SweepSource):
         return self._raw[j][self._level_block(j, start, stop)]
 
     def level_block(self, start: int, stop: int) -> np.ndarray:
-        return np.column_stack(
-            [
-                self._level_block(j, start, stop)
-                for j in range(len(self.space.names))
-            ]
-        )
+        indices = self._index_block(start, stop)
+        return (indices // self._radices[:, None]) % self._cardinalities[
+            :, None
+        ]
 
     def point_at(self, position: int) -> DesignPoint:
         if self._indices is None:
@@ -369,10 +368,11 @@ class PointSweepSource(SweepSource):
                 if columns
                 else np.empty((len(self.points), 0))
             )
+            # Parameter-major, so each block's level rows are contiguous.
             self._level_matrix = (
-                np.column_stack(level_columns)
+                np.stack(level_columns)
                 if level_columns
-                else np.empty((len(self.points), 0), dtype=np.int64)
+                else np.empty((0, len(self.points)), dtype=np.int64)
             )
         return self._encoded_matrix
 
@@ -393,7 +393,7 @@ class PointSweepSource(SweepSource):
         return self._raw()[start:stop, j]
 
     def level_block(self, start: int, stop: int) -> np.ndarray:
-        return self._levels()[start:stop]
+        return self._levels()[:, start:stop]
 
     def point_at(self, position: int) -> DesignPoint:
         return self.points[position]
@@ -405,43 +405,69 @@ class PointSweepSource(SweepSource):
 # -- prediction ---------------------------------------------------------------
 
 
-class _LevelDesignCache:
-    """Gather tables mapping grid level indices to design-matrix columns.
+class _LevelGather:
+    """Both models' design columns as gathers from grid level indices.
 
     Every predictor takes a handful of grid levels, so each bound term's
     design columns — which depend only on the term's one or two
     predictors — are precomputed on the encoded level values (or the
-    level cross product) once per model.  Block design matrices then
-    assemble by integer gather instead of re-evaluating spline bases per
-    row.  Results are bitwise identical to row-wise evaluation: the same
-    elementwise operations run on the same encoded values, only once per
-    level instead of once per design.
+    level cross product) once per model, and stored as one contiguous
+    1-D table per design column.  A block's level matrix then indexes
+    them: a one-predictor column by that parameter's level row, a
+    two-predictor column by the pair row ``la * nb + lb``, computed once
+    per block and shared by the bips and watts models.
+
+    Each block assembles into reused scratch: one ``take`` per design
+    column into a parameter-major ``(width, n)`` buffer (contiguous
+    rows), one ``copyto`` into a C-contiguous ``(n, width)`` buffer, then
+    the same ``X @ coefficients`` as :meth:`FittedModel.predict`.
+    Results are bitwise identical to row-wise evaluation: every design
+    column holds the values the spline bases give for that row's
+    encoded levels, and ``X`` has the shape and memory layout a
+    monolithic ``design_matrix`` of the block would have, so the same
+    BLAS call runs on the same numbers.  Scratch is sized to the largest
+    block seen and shared by both models through flat buffers.
     """
 
-    def __init__(self, model: FittedModel, space: DesignSpace):
-        self.model = model
+    def __init__(self, models: Sequence[FittedModel], space: DesignSpace):
+        self.models = tuple(models)
         names = list(space.names)
         encoded = _encoded_level_tables(space)
-        self._plans: List[tuple] = []
+        #: ``(ja, jb, nb)`` per pair row; row ``P + i`` of a block's
+        #: index rows holds pair ``i``'s cross-product level index.
+        self.pairs: List[Tuple[int, int, int]] = []
+        #: Per model, ``(index row, 1-D table)`` per non-intercept column.
+        self.gathers: List[List[Tuple[int, np.ndarray]]] = []
+        self._capacity = 0
+        self._columns_t = np.empty(0)
+        self._design = np.empty(0)
         self.supported = True
+        for model in self.models:
+            gathers = self._model_gathers(model, names, encoded)
+            if gathers is None:
+                self.supported = False
+                return
+            self.gathers.append(gathers)
+
+    def _model_gathers(
+        self,
+        model: FittedModel,
+        names: List[str],
+        encoded: List[np.ndarray],
+    ) -> Optional[List[Tuple[int, np.ndarray]]]:
+        """One model's column gathers, or None if a term is unsupported."""
+        gathers: List[Tuple[int, np.ndarray]] = []
         for term in model.bound_terms:
             try:
                 predictors = term.predictors
             except NotImplementedError:
-                predictors = None
-            if (
-                predictors is not None
-                and len(predictors) == 1
-                and predictors[0] in names
-            ):
-                j = names.index(predictors[0])
-                table = term.design_columns({predictors[0]: encoded[j]})
-                self._plans.append(("one", j, table))
-            elif (
-                predictors is not None
-                and len(predictors) == 2
-                and all(p in names for p in predictors)
-            ):
+                return None
+            if not predictors or any(p not in names for p in predictors):
+                return None
+            if len(predictors) == 1:
+                row = names.index(predictors[0])
+                table = term.design_columns({predictors[0]: encoded[row]})
+            elif len(predictors) == 2:
                 ja = names.index(predictors[0])
                 jb = names.index(predictors[1])
                 va, vb = encoded[ja], encoded[jb]
@@ -451,23 +477,45 @@ class _LevelDesignCache:
                         predictors[1]: np.tile(vb, va.size),
                     }
                 )
-                self._plans.append(("pair", (ja, jb, vb.size), table))
+                key = (ja, jb, vb.size)
+                if key not in self.pairs:
+                    self.pairs.append(key)
+                row = len(names) + self.pairs.index(key)
             else:
-                self.supported = False
-                break
+                return None
+            gathers.extend(
+                (row, np.ascontiguousarray(table[:, c]))
+                for c in range(table.shape[1])
+            )
+        return gathers
 
-    def predict(self, levels: np.ndarray) -> np.ndarray:
-        """Predictions for an ``(n, P)`` block of level indices."""
-        n = levels.shape[0]
-        blocks = [np.ones((n, 1))]
-        for kind, key, table in self._plans:
-            if kind == "one":
-                blocks.append(table[levels[:, key]])
-            else:
-                ja, jb, nb = key
-                blocks.append(table[levels[:, ja] * nb + levels[:, jb]])
-        X = np.hstack(blocks)
-        return self.model.spec.transform.inverse(X @ self.model.coefficients)
+    def _scratch(self, n: int) -> None:
+        """Grow the shared flat scratch to hold an ``n``-row block."""
+        if n > self._capacity:
+            width = 1 + max(len(gathers) for gathers in self.gathers)
+            self._columns_t = np.empty(n * width)
+            self._design = np.empty(n * width)
+            self._capacity = n
+
+    def predict(self, levels: np.ndarray) -> List[np.ndarray]:
+        """Each model's predictions for a ``(P, n)`` block of levels."""
+        n = levels.shape[1]
+        self._scratch(n)
+        rows = list(levels)
+        rows.extend(levels[ja] * nb + levels[jb] for ja, jb, nb in self.pairs)
+        predictions = []
+        for model, gathers in zip(self.models, self.gathers):
+            width = 1 + len(gathers)
+            columns_t = self._columns_t[: width * n].reshape(width, n)
+            columns_t[0] = 1.0
+            for column, (row, table) in enumerate(gathers, start=1):
+                np.take(table, rows[row], out=columns_t[column])
+            design = self._design[: n * width].reshape(n, width)
+            np.copyto(design, columns_t.T)
+            predictions.append(
+                model.spec.transform.inverse(design @ model.coefficients)
+            )
+        return predictions
 
 
 @dataclass
@@ -488,34 +536,36 @@ class BlockPredictor:
             self.watts_model.predict(features),
         )
 
-    def _level_caches(
-        self, space: DesignSpace
-    ) -> Optional[Tuple[_LevelDesignCache, _LevelDesignCache]]:
+    def _level_gather(self, space: DesignSpace) -> Optional[_LevelGather]:
         """Per-space gather tables, built lazily (e.g. once per worker)."""
-        cached = self.__dict__.get("_caches")
+        cached = self.__dict__.get("_gather")
         if cached is None or cached[0] is not space:
-            bips = _LevelDesignCache(self.bips_model, space)
-            watts = _LevelDesignCache(self.watts_model, space)
-            if not (bips.supported and watts.supported):
-                cached = (space, None)
-            else:
-                cached = (space, (bips, watts))
-            self.__dict__["_caches"] = cached
+            gather = _LevelGather((self.bips_model, self.watts_model), space)
+            cached = (space, gather if gather.supported else None)
+            self.__dict__["_gather"] = cached
         return cached[1]
 
     def predict_levels(
         self, levels: np.ndarray, space: DesignSpace
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """(bips, watts) for a block of level indices, or None.
+        """(bips, watts) for a ``(P, n)`` block of level indices, or None.
 
         Returns None when some term cannot be gathered from level tables
         (the engine then falls back to encoded-feature evaluation).
         """
-        caches = self._level_caches(space)
-        if caches is None:
+        gather = self._level_gather(space)
+        if gather is None:
             return None
-        bips_cache, watts_cache = caches
-        return bips_cache.predict(levels), watts_cache.predict(levels)
+        bips, watts = gather.predict(levels)
+        return bips, watts
+
+    def __getstate__(self) -> dict:
+        # The gather tables and their block scratch are per-process
+        # working state, rebuilt on first use: pool and resilient chunk
+        # payloads ship only the models.
+        state = dict(self.__dict__)
+        state.pop("_gather", None)
+        return state
 
 
 @dataclass
@@ -680,6 +730,14 @@ class TopKReducer(SweepReducer):
     prediction table exactly, including first-occurrence tie-breaking
     (candidates are ordered by value descending, then sweep index
     ascending).
+
+    Each update merges only the block entries at or above a *floor*: the
+    running k-th best value once k candidates are held, else the block's
+    own k-th largest value.  An entry below the floor has at least k
+    entries strictly better than it, so it can never be selected; entries
+    equal to the floor are kept, so ties still resolve by sweep index.
+    Blocks containing NaN (and a NaN floor) merge in full, as without
+    the floor.
     """
 
     _FIELDS = ("values", "bips", "watts", "delay", "efficiency")
@@ -700,21 +758,45 @@ class TopKReducer(SweepReducer):
         if not len(block):
             return
         values = block.metric(self.metric)
-        merged = {
-            "values": np.concatenate([self._state["values"], values]),
-            "bips": np.concatenate([self._state["bips"], block.bips]),
-            "watts": np.concatenate([self._state["watts"], block.watts]),
-            "delay": np.concatenate([self._state["delay"], block.delay]),
-            "efficiency": np.concatenate(
-                [self._state["efficiency"], block.efficiency]
-            ),
+        columns = {
+            "values": values,
+            "bips": block.bips,
+            "watts": block.watts,
+            "delay": block.delay,
+            "efficiency": block.efficiency,
         }
-        indices = np.concatenate([self._indices, block.indices])
+        indices = block.indices
+        keep = self._above_floor(values)
+        if keep is not None:
+            columns = {name: column[keep] for name, column in columns.items()}
+            indices = indices[keep]
+        merged = {
+            name: np.concatenate([self._state[name], columns[name]])
+            for name in self._FIELDS
+        }
+        indices = np.concatenate([self._indices, indices])
         # Highest value first; ties resolve to the lowest sweep index,
         # matching argmax over a whole-space table.
         order = np.lexsort((indices, -merged["values"]))[: self.k]
         self._indices = indices[order]
         self._state = {name: merged[name][order] for name in self._FIELDS}
+
+    def _above_floor(self, values: np.ndarray) -> Optional[np.ndarray]:
+        """Mask of block entries that can still enter the top k, or None.
+
+        None means merge the whole block: it has at most k entries and k
+        are not held yet, or the floor is undefined because of NaN.
+        """
+        if self._indices.size == self.k:
+            floor = self._state["values"][-1]
+        elif values.size > self.k:
+            cut = values.size - self.k
+            floor = np.partition(values, cut)[cut]
+        else:
+            return None
+        if np.isnan(floor) or np.isnan(values).any():
+            return None
+        return values >= floor
 
     def finalize(self, source: SweepSource) -> TopKResult:
         return TopKResult(

@@ -17,7 +17,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..designspace import DesignPoint
+from ..harness.sweep import BlockPredictor, PointSweepSource, predict_source
 from ..regression import FittedModel, fit_ols, performance_spec, power_spec
+from ..workloads import get_profile
 from .common import StudyContext
 
 
@@ -27,6 +29,15 @@ class BootstrapModels:
 
     bips: FittedModel
     watts: FittedModel
+
+    def predictor(self, benchmark: str) -> BlockPredictor:
+        """The replicate's models bundled for the sweep engine."""
+        return BlockPredictor(
+            benchmark=benchmark,
+            bips_model=self.bips,
+            watts_model=self.watts,
+            ref_instructions=get_profile(benchmark).ref_instructions,
+        )
 
 
 def bootstrap_models(
@@ -79,18 +90,12 @@ def optimum_stability(
     nominal_index = int(table.efficiency.argmax())
     nominal = points[nominal_index]
 
-    # encode once; every replicate predicts over the same matrix
-    from ..designspace import DesignEncoder
-
-    encoder = DesignEncoder(ctx.exploration_space)
-    matrix = encoder.encode(points)
-    columns = {n: matrix[:, j] for j, n in enumerate(encoder.feature_names)}
-
+    # every replicate streams the same exploration source
+    source = ctx.exploration_source()
     winners: List[DesignPoint] = []
     efficiencies: List[float] = []
     for models in bootstrap_models(ctx, benchmark, replicates, seed):
-        bips = models.bips.predict(columns)
-        watts = models.watts.predict(columns)
+        bips, watts = predict_source(models.predictor(benchmark), source)
         efficiency = bips**3 / watts
         index = int(efficiency.argmax())
         winners.append(points[index])
@@ -139,13 +144,13 @@ def depth_optimum_stability(
     benchmarks = list(benchmarks or ctx.benchmarks)
     depths = list(depth_levels(ctx))
     baseline = ctx.baseline
-    sweep_points = [baseline.replace(depth=d) for d in depths]
+    source = PointSweepSource(
+        ctx.exploration_space, [baseline.replace(depth=d) for d in depths]
+    )
 
-    from ..designspace import DesignEncoder
-
-    encoder = DesignEncoder(ctx.exploration_space)
-    matrix = encoder.encode(sweep_points)
-    columns = {n: matrix[:, j] for j, n in enumerate(encoder.feature_names)}
+    def predicted(predictor: BlockPredictor) -> Dict[str, np.ndarray]:
+        bips, watts = predict_source(predictor, source)
+        return {"bips": bips, "watts": watts}
 
     # nominal optimum from the primary models
     def suite_relative(model_table: Dict[str, Dict[str, np.ndarray]]) -> np.ndarray:
@@ -157,13 +162,7 @@ def depth_optimum_stability(
             stack.append(efficiency / efficiency.max())
         return np.mean(np.vstack(stack), axis=0)
 
-    nominal_models = {
-        b: {
-            "bips": ctx.model(b, "bips").predict(columns),
-            "watts": ctx.model(b, "watts").predict(columns),
-        }
-        for b in benchmarks
-    }
+    nominal_models = {b: predicted(ctx.predictor(b)) for b in benchmarks}
     nominal_depth = depths[int(suite_relative(nominal_models).argmax())]
 
     rng = np.random.default_rng(seed)
@@ -174,10 +173,7 @@ def depth_optimum_stability(
             models = bootstrap_models(
                 ctx, benchmark, replicates=1, seed=int(rng.integers(0, 2**31 - 1))
             )[0]
-            replicate_table[benchmark] = {
-                "bips": models.bips.predict(columns),
-                "watts": models.watts.predict(columns),
-            }
+            replicate_table[benchmark] = predicted(models.predictor(benchmark))
         winner = depths[int(suite_relative(replicate_table).argmax())]
         histogram[winner] += 1
 

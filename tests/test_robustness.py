@@ -32,6 +32,36 @@ class TestBootstrapModels:
             assert replicate.watts.r_squared > 0.85
 
 
+class TestEnginePredictions:
+    """The studies predict replicates through the sweep engine; the
+    engine must reproduce the dense encode-and-predict path exactly."""
+
+    def test_replicate_matches_dense_prediction(self, ctx):
+        from repro.designspace import DesignEncoder
+        from repro.harness.sweep import PointSweepSource, predict_source
+        from repro.studies.depth import depth_levels
+
+        models = robustness.bootstrap_models(ctx, "mcf", replicates=1, seed=3)[0]
+        encoder = DesignEncoder(ctx.exploration_space)
+        baseline = ctx.baseline
+        point_sets = {
+            "exploration": (ctx.exploration_points(), ctx.exploration_source()),
+            "depth": (
+                [baseline.replace(depth=d) for d in depth_levels(ctx)],
+                None,
+            ),
+        }
+        for points, source in point_sets.values():
+            source = source or PointSweepSource(ctx.exploration_space, points)
+            matrix = encoder.encode(points)
+            columns = {
+                n: matrix[:, j] for j, n in enumerate(encoder.feature_names)
+            }
+            bips, watts = predict_source(models.predictor("mcf"), source)
+            assert bips.tobytes() == models.bips.predict(columns).tobytes()
+            assert watts.tobytes() == models.watts.predict(columns).tobytes()
+
+
 class TestOptimumStability:
     def test_report_fields(self, ctx):
         stability = robustness.optimum_stability(ctx, "mcf", replicates=6, seed=3)

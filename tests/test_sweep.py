@@ -6,8 +6,12 @@ explicit point list) must reduce to the same results as a monolithic
 whole-table pass.
 """
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.designspace import DesignEncoder
 from repro.designspace.parameters import ParameterError
@@ -17,6 +21,7 @@ from repro.harness.sweep import (
     ParetoFrontierReducer,
     PointSweepSource,
     SpaceSweepSource,
+    SweepBlock,
     SweepError,
     TopKReducer,
     discretized_frontier,
@@ -176,6 +181,190 @@ class TestBlockwisePrediction:
             run_sweep(predictor, source, [], block_size=0)
         with pytest.raises(SweepError):
             run_sweep(predictor, source, [], workers=0)
+
+
+def _subset_indices(space, n):
+    """``n`` spread-out space indices (an index subset, not a prefix)."""
+    return np.linspace(0, len(space) - 1, n).astype(np.int64)
+
+
+def _oracle_sources(space, n):
+    indices = _subset_indices(space, n)
+    return {
+        "space": SpaceSweepSource(space, indices),
+        "points": PointSweepSource(
+            space, [space.point_at(int(i)) for i in indices]
+        ),
+    }
+
+
+class TestLevelGather:
+    """The level path's block predictions against row-wise evaluation."""
+
+    @pytest.mark.parametrize("kind", ["space", "points"])
+    @pytest.mark.parametrize(
+        "block_size, n_points",
+        [(1, 300), (7, 300), (64, 300), (8192, 10_000)],
+    )
+    def test_blocks_match_rowwise_bases(self, ctx, kind, block_size, n_points):
+        """Each block's gathered (bips, watts) equals the spline bases
+        evaluated per design on the same block, bit for bit, including
+        the partial tail block."""
+        space = ctx.exploration_space
+        source = _oracle_sources(space, n_points)[kind]
+        predictor = ctx.predictor("gzip")
+        blocks = 0
+        for start in range(0, n_points, block_size):
+            stop = min(start + block_size, n_points)
+            got = predictor.predict_levels(
+                source.level_block(start, stop), space
+            )
+            want = predictor.predict(source.feature_block(start, stop))
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), (start, stop)
+            blocks += 1
+        assert blocks == -(-n_points // block_size)
+
+    def test_level_block_is_parameter_major(self, ctx):
+        space = ctx.exploration_space
+        for source in _oracle_sources(space, 50).values():
+            levels = source.level_block(10, 30)
+            assert levels.shape == (len(space.names), 20)
+            assert all(row.flags.c_contiguous for row in levels)
+
+    def test_scratch_reuse_across_sources(self, ctx):
+        """One predictor sweeping a 10,000-point source (tail 1,808) and
+        then a 300-point source equals fresh predictors on each."""
+        space = ctx.exploration_space
+        large = SpaceSweepSource(space, _subset_indices(space, 10_000))
+        small = PointSweepSource(
+            space, [space.point_at(int(i)) for i in range(0, 3000, 10)]
+        )
+        reused = ctx.predictor("mcf")
+        for source in (large, small):
+            got = predict_source(reused, source, block_size=8192)
+            want = predict_source(ctx.predictor("mcf"), source, block_size=8192)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    def test_pickled_predictor_carries_no_scratch(self, ctx):
+        """A full-space sweep leaves block scratch on the predictor; the
+        pickled form (a pool or resilient chunk payload) drops it."""
+        fresh = ctx.predictor("gzip")
+        swept = ctx.predictor("gzip")
+        source = SpaceSweepSource(ctx.exploration_space)
+        run_sweep(swept, source, [TopKReducer()])
+        assert len(pickle.dumps(swept)) == len(pickle.dumps(fresh))
+        revived = pickle.loads(pickle.dumps(swept))
+        head = source.slice(0, 100)
+        for g, w in zip(
+            predict_source(revived, head), predict_source(fresh, head)
+        ):
+            assert g.tobytes() == w.tobytes()
+
+
+def _topk_blocks(values, block_size):
+    """Synthetic sweep blocks: ``values`` as efficiency, distinct others."""
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    rows = np.arange(n, dtype=float)
+    blocks = []
+    for start in range(0, n, block_size):
+        stop = min(start + block_size, n)
+        blocks.append(
+            SweepBlock(
+                benchmark="synthetic",
+                indices=np.arange(start, stop, dtype=np.int64),
+                bips=rows[start:stop] + 0.5,
+                watts=rows[start:stop] + 1000.25,
+                delay=-rows[start:stop],
+                efficiency=values[start:stop],
+            )
+        )
+    return blocks
+
+
+class _Positions:
+    """Stand-in source whose "points" are the sweep positions."""
+
+    def point_at(self, position):
+        return position
+
+
+def _reduce_topk(blocks, k):
+    reducer = TopKReducer("efficiency", k=k)
+    for block in blocks:
+        reducer.update(block)
+    return reducer.finalize(_Positions())
+
+
+def _merge_all_topk(blocks, k):
+    """The unfloored reduction: every block entry enters the merge."""
+    fields = ("efficiency", "bips", "watts", "delay")
+    state = {name: np.array([]) for name in fields}
+    indices = np.array([], dtype=np.int64)
+    for block in blocks:
+        merged = {
+            name: np.concatenate([state[name], block.metric(name)])
+            for name in fields
+        }
+        indices = np.concatenate([indices, block.indices])
+        order = np.lexsort((indices, -merged["efficiency"]))[:k]
+        indices = indices[order]
+        state = {name: merged[name][order] for name in fields}
+    return indices, state
+
+
+def _assert_topk_equals(result, indices, columns):
+    assert np.array_equal(result.indices, indices)
+    assert result.points == list(indices)
+    assert result.values.tobytes() == columns["efficiency"].tobytes()
+    for name in ("bips", "watts", "delay", "efficiency"):
+        assert getattr(result, name).tobytes() == columns[name].tobytes()
+
+
+class TestTopKFloor:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 3), min_size=1, max_size=120),
+        block_size=st.integers(1, 16),
+        k=st.integers(1, 40),
+    )
+    @example(values=[5, 3, 3, 3, 3, 1], block_size=3, k=3)
+    @example(values=[5, 3, 3, 3, 3, 1], block_size=3, k=4)
+    @example(values=[2, 2, 2, 2, 2, 2, 2], block_size=2, k=5)
+    def test_matches_whole_table_lexsort(self, values, block_size, k):
+        """Heavily duplicated values in many small blocks, k smaller and
+        larger than a block, ties at the k-th value across a boundary."""
+        blocks = _topk_blocks(values, block_size)
+        result = _reduce_topk(blocks, k)
+        table = {
+            name: np.concatenate([b.metric(name) for b in blocks])
+            for name in ("bips", "watts", "delay", "efficiency")
+        }
+        order = np.lexsort(
+            (np.arange(len(values)), -table["efficiency"])
+        )[:k]
+        _assert_topk_equals(
+            result, order, {name: col[order] for name, col in table.items()}
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([0.0, 1.0, 2.0, float("nan")]),
+            min_size=1,
+            max_size=60,
+        ),
+        block_size=st.integers(1, 12),
+        k=st.integers(1, 20),
+    )
+    @example(values=[1.0, float("nan"), 2.0, 0.0, 2.0, 1.0], block_size=2, k=2)
+    def test_nan_blocks_match_unfloored_merge(self, values, block_size, k):
+        blocks = _topk_blocks(values, block_size)
+        result = _reduce_topk(blocks, k)
+        indices, state = _merge_all_topk(blocks, k)
+        _assert_topk_equals(result, indices, state)
 
 
 class TestReducers:
